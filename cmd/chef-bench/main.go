@@ -4,19 +4,18 @@
 // small and fully deterministic: both interpreters, cold versus warm
 // persistent cache, serial versus parallel workers, warm sharded-
 // exploration cells at 1, 2 and 4 shard workers, incremental-solver cells
-// (cold/warm at 1 and 4 shards) and deep-path DFS cell trios (oneshot,
-// incremental, bdd) that measure each stateful backend's per-query solver
-// speedup — incremental asserted as a geometric mean across the deep-path
-// package set, bdd as a best-of gate anchored by the boolean-dominated
-// flagmaze target — all at seed 42. The
-// deterministic columns (tests, virtual time, span virtual aggregates) make
-// drift between two trajectory points attributable to code changes; the
-// wall-clock columns record what the host actually paid — including the
-// shard-scaling ratio (virtual throughput at 4 shards over 1 shard).
+// (cold/warm at 1 and 4 shards) and deep-path DFS cell pairs (oneshot,
+// incremental) that measure the incremental backend's per-query solver
+// speedup, asserted as a geometric mean across the deep-path package set —
+// all at seed 42. The deterministic columns (tests, virtual time, span
+// virtual aggregates) make drift between two trajectory points attributable
+// to code changes; the wall-clock columns record what the host actually
+// paid — including the shard-scaling ratio (virtual throughput at 4 shards
+// over 1 shard).
 //
 // Usage:
 //
-//	chef-bench -out BENCH_10.json
+//	chef-bench -out BENCH_<n>.json
 //	chef-bench -micro -out /tmp/bench.json   # 1-config smoke matrix for CI
 //	chef-bench -validate BENCH_10.json       # schema + determinism check
 package main
@@ -50,12 +49,11 @@ func run() int {
 		budget    = flag.Int64("budget", 600_000, "virtual-time budget per session")
 		stepCap   = flag.Int64("steplimit", 30_000, "per-run hang threshold")
 		reps      = flag.Int("reps", 2, "sessions (distinct seeds) per configuration")
-		out       = flag.String("out", "BENCH_10.json", "output file")
+		out       = flag.String("out", "", "output file (required unless -validate)")
 		bench     = flag.String("bench", "fixed-matrix", "matrix name recorded in the file")
 		micro     = flag.Bool("micro", false, "run the 1-config smoke matrix (CI): simplejson, cold+warm, serial, 1 rep, reduced budget")
 		validate  = flag.String("validate", "", "validate an existing BENCH file and exit")
 		assertInc = flag.Float64("assert-inc-speedup", 0, "with -validate: require the incremental dfs cells' per-query solver virtual cost to beat the oneshot dfs cells by at least this ratio")
-		assertBDD = flag.Float64("assert-bdd-speedup", 0, "with -validate: require the bdd dfs cells' per-query solver virtual cost to beat the oneshot dfs cells by at least this ratio on at least one deep-path package (the boolean-dominated ones carry the signal)")
 	)
 	flag.Parse()
 
@@ -78,13 +76,11 @@ func run() int {
 				return 1
 			}
 		}
-		if *assertBDD > 0 {
-			if err := assertBDDSpeedup(f, *assertBDD); err != nil {
-				fmt.Fprintf(os.Stderr, "chef-bench: %s: %v\n", *validate, err)
-				return 1
-			}
-		}
 		return 0
+	}
+	if *out == "" {
+		fmt.Fprintln(os.Stderr, "chef-bench: -out is required when generating a BENCH file")
+		return 2
 	}
 
 	pkgNames := []string{"simplejson", "JSON"}
@@ -104,10 +100,7 @@ func run() int {
 	// wall time while anchoring the aggregate speedup gate in the deep
 	// arithmetic workloads incremental solving exists for; the parser
 	// packages above contribute their (lower) ratios to the same geomean.
-	// flagmaze is the bench-only boolean-dominated target (every branch
-	// condition a single-byte flag) that carries the bdd fast-path signal;
-	// see packages.Benchmarks.
-	deepPkgNames := []string{"moonscript", "xlrd", "flagmaze"}
+	deepPkgNames := []string{"moonscript", "xlrd"}
 	if *micro {
 		pkgNames = []string{"simplejson"}
 		workerCounts = []int{1}
@@ -255,19 +248,19 @@ func run() int {
 	return 0
 }
 
-// runDeepPair runs the deep-path DFS cell trio for p: DFS drives the path
+// runDeepPair runs the deep-path DFS cell pair for p: DFS drives the path
 // condition deep with long shared prefixes between consecutive queries —
-// the workload the incremental and bdd backends exist for. All backends run
-// warm from their own fully-warm store, so the recorded per-query solver
-// costs are the replayed solve costs and their ratios are the solver-layer
-// virtual speedups (printed per package, asserted by -assert-inc-speedup
-// in aggregate and -assert-bdd-speedup on the best package).
+// the workload the incremental backend exists for. Both backends run warm
+// from their own fully-warm store, so the recorded per-query solver costs
+// are the replayed solve costs and their ratio is the solver-layer virtual
+// speedup (printed per package, asserted by -assert-inc-speedup in
+// aggregate).
 func runDeepPair(p *packages.Package, cfg experiments.Configuration, base experiments.Budgets,
 	tmp string, file *benchfmt.File) error {
 	dfsCfg := cfg
 	dfsCfg.Name = "dfs+opt"
 	dfsCfg.Strategy = chef.StrategyDFS
-	for _, sm := range []solver.SolverMode{solver.ModeOneshot, solver.ModeIncremental, solver.ModeBDD} {
+	for _, sm := range []solver.SolverMode{solver.ModeOneshot, solver.ModeIncremental} {
 		dfsBase := base
 		dfsBase.SolverMode = sm
 		dfsWarmFile := filepath.Join(tmp, p.Name+"-dfs-"+sm.String()+".ndjson")
@@ -283,7 +276,6 @@ func runDeepPair(p *packages.Package, cfg experiments.Configuration, base experi
 		file.Configs = append(file.Configs, c)
 	}
 	printIncSpeedup(p.Name, file.Configs)
-	printBDDSpeedup(p.Name, file.Configs)
 	return nil
 }
 
@@ -301,13 +293,11 @@ func prewarm(p *packages.Package, cfg experiments.Configuration, b experiments.B
 	return store.Close()
 }
 
-// runCell measures one matrix cell: Reps sessions of p under cfg, totals
-// read from a cell-private metrics registry (sessions merge their child
-// registries into it, so totals are schedule-independent). shards > 0 runs
-// each session as a sharded exploration (warm persist shared, private
-// in-memory caches) driven by up to shards epoch workers.
-func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.Budgets,
-	cache string, workers, shards int, warmFile string) (benchfmt.Config, error) {
+// cellConfig returns the identifying columns of one matrix cell: its name,
+// package, language and the knobs that select it. The measured columns stay
+// zero.
+func cellConfig(p *packages.Package, cfg experiments.Configuration, b experiments.Budgets,
+	cache string, workers, shards int) benchfmt.Config {
 	seg := p.Name
 	strategy := ""
 	if cfg.Strategy == chef.StrategyDFS {
@@ -315,22 +305,18 @@ func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.B
 		strategy = "dfs"
 	}
 	solverMode := ""
-	switch b.SolverMode {
-	case solver.ModeIncremental:
+	if b.SolverMode == solver.ModeIncremental {
 		seg += "/inc"
 		solverMode = "incremental"
-	case solver.ModeBDD:
-		seg += "/bdd"
-		solverMode = "bdd"
 	}
 	name := fmt.Sprintf("%s/%s/w%d", seg, cache, workers)
 	if shards > 0 {
 		name = fmt.Sprintf("%s/%s/s%d", seg, cache, shards)
 	}
-	c := benchfmt.Config{
+	return benchfmt.Config{
 		Name:       name,
 		Package:    p.Name,
-		Language:   string(p.Lang),
+		Language:   p.Lang.String(),
 		Cache:      cache,
 		Workers:    workers,
 		Shards:     shards,
@@ -338,6 +324,16 @@ func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.B
 		Strategy:   strategy,
 		Sessions:   b.Reps,
 	}
+}
+
+// runCell measures one matrix cell: Reps sessions of p under cfg, totals
+// read from a cell-private metrics registry (sessions merge their child
+// registries into it, so totals are schedule-independent). shards > 0 runs
+// each session as a sharded exploration (warm persist shared, private
+// in-memory caches) driven by up to shards epoch workers.
+func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.Budgets,
+	cache string, workers, shards int, warmFile string) (benchfmt.Config, error) {
+	c := cellConfig(p, cfg, b, cache, workers, shards)
 	reg := obs.NewRegistry()
 	b.Metrics = reg
 	b.Parallel = workers
@@ -431,10 +427,12 @@ func solverCheckPerQuery(c *benchfmt.Config) float64 {
 	return 0
 }
 
-// dfsSpeedup finds pkg's dfs cells for the oneshot baseline and the given
-// solver mode and returns the oneshot/mode ratio of per-query solver virtual
-// cost — the solver-layer speedup of that backend on the deep-path workload.
-func dfsSpeedup(pkg, mode string, configs []benchfmt.Config) (float64, bool) {
+// incSpeedup finds pkg's dfs cells for the oneshot baseline and the
+// incremental backend and returns the oneshot/incremental ratio of per-query
+// solver virtual cost — the solver-layer speedup of the incremental backend
+// on the deep-path workload. Cells of other solver modes in committed
+// trajectory points are ignored.
+func incSpeedup(pkg string, configs []benchfmt.Config) (float64, bool) {
 	var one, alt *benchfmt.Config
 	for i := range configs {
 		c := &configs[i]
@@ -444,7 +442,7 @@ func dfsSpeedup(pkg, mode string, configs []benchfmt.Config) (float64, bool) {
 		switch c.SolverMode {
 		case "":
 			one = c
-		case mode:
+		case "incremental":
 			alt = c
 		}
 	}
@@ -458,26 +456,12 @@ func dfsSpeedup(pkg, mode string, configs []benchfmt.Config) (float64, bool) {
 	return po / pa, true
 }
 
-// incSpeedup is dfsSpeedup for the incremental backend.
-func incSpeedup(pkg string, configs []benchfmt.Config) (float64, bool) {
-	return dfsSpeedup(pkg, "incremental", configs)
-}
-
 // printIncSpeedup reports the deep-path solver-layer speedup of the
 // incremental backend for one package.
 func printIncSpeedup(pkg string, configs []benchfmt.Config) {
 	if r, ok := incSpeedup(pkg, configs); ok {
 		fmt.Printf("%-32s incremental per-query solver cost %.2fx cheaper than oneshot (dfs)\n",
 			pkg+" inc speedup", r)
-	}
-}
-
-// printBDDSpeedup reports the deep-path solver-layer speedup of the bdd
-// backend for one package.
-func printBDDSpeedup(pkg string, configs []benchfmt.Config) {
-	if r, ok := dfsSpeedup(pkg, "bdd", configs); ok {
-		fmt.Printf("%-32s bdd per-query solver cost %.2fx cheaper than oneshot (dfs)\n",
-			pkg+" bdd speedup", r)
 	}
 }
 
@@ -515,41 +499,5 @@ func assertIncSpeedup(f *benchfmt.File, min float64) error {
 		return fmt.Errorf("aggregate incremental speedup %.2fx (geomean over %d packages) below required %.2fx", agg, pairs, min)
 	}
 	fmt.Printf("chef-bench: aggregate incremental solver speedup %.2fx over %d packages (>= %.2fx)\n", agg, pairs, min)
-	return nil
-}
-
-// assertBDDSpeedup requires the best per-package bdd dfs speedup in the file
-// to be at least min. The gate is a best-of, not an aggregate: the diagram's
-// fail-fast only pays on boolean-dominated streams (flagmaze), while on
-// arithmetic-heavy packages every query falls back to CDCL and the ratio
-// hovers near (slightly below) 1x — which is the documented degradation
-// contract, not a regression. The bar proves the fast path actually wins
-// where its workload exists.
-func assertBDDSpeedup(f *benchfmt.File, min float64) error {
-	seen := map[string]bool{}
-	best, bestPkg, pairs := 0.0, "", 0
-	for i := range f.Configs {
-		pkg := f.Configs[i].Package
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		r, ok := dfsSpeedup(pkg, "bdd", f.Configs)
-		if !ok {
-			continue
-		}
-		pairs++
-		fmt.Printf("chef-bench: %s bdd solver speedup %.2fx\n", pkg, r)
-		if r > best {
-			best, bestPkg = r, pkg
-		}
-	}
-	if pairs == 0 {
-		return fmt.Errorf("-assert-bdd-speedup: no dfs oneshot/bdd cell pairs in file")
-	}
-	if best < min {
-		return fmt.Errorf("best bdd speedup %.2fx (%s, over %d packages) below required %.2fx", best, bestPkg, pairs, min)
-	}
-	fmt.Printf("chef-bench: best bdd solver speedup %.2fx on %s (>= %.2fx)\n", best, bestPkg, min)
 	return nil
 }

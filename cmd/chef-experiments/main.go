@@ -38,7 +38,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "sharded exploration per session cell: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain sessions; output is identical for every N >= 1)")
 		shared   = flag.Bool("sharedcache", false, "share one counterexample cache across all sessions (throughput knob; models may then depend on scheduling)")
 		cmode    = flag.String("cachemode", "exact", "counterexample cache lookup layers: exact | subsume")
-		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot | incremental | bdd")
+		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot | incremental")
 		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
 		stats    = flag.Bool("stats", false, "print harness statistics (sessions, solver queries, cache hits/misses) after each experiment")
 		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;worker.stall:session=2' (see docs/ROBUSTNESS.md)")
@@ -66,7 +66,7 @@ func main() {
 	b.CacheMode = mode
 	solverMode, ok := solver.ParseSolverMode(*smode)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "chef-experiments: unknown -solvermode %q (want oneshot, incremental or bdd)\n", *smode)
+		fmt.Fprintf(os.Stderr, "chef-experiments: unknown -solvermode %q (want oneshot or incremental)\n", *smode)
 		os.Exit(1)
 	}
 	b.SolverMode = solverMode

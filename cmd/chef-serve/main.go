@@ -116,7 +116,15 @@ func run() int {
 		m.Handle("/", handler)
 		handler = m
 	}
-	httpSrv := &http.Server{Handler: handler}
+	// No write timeout: job event streams stay open for the length of a
+	// run. The header and idle timeouts bound how long a client can hold a
+	// connection without sending a request; submit bodies are capped in
+	// serve.
+	httpSrv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

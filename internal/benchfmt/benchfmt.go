@@ -196,6 +196,7 @@ func (f *File) Validate() error {
 			}
 		}
 		switch c.SolverMode {
+		// "bdd" is a removed backend, still accepted so committed BENCH_10.json validates.
 		case "", "oneshot", "incremental", "bdd":
 		default:
 			return fmt.Errorf("config %s: solver_mode %q, want oneshot, incremental or bdd", c.Name, c.SolverMode)

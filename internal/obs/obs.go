@@ -73,14 +73,6 @@ const (
 	MSolverIncLearnedKept = "solver.inc.learned_kept" // counter: learned clauses carried into a query, summed over queries
 	MSolverIncRebuilds    = "solver.inc.rebuilds"     // counter: contexts discarded at the clause/variable caps
 
-	// BDD fast path (-solvermode=bdd): the per-solver reduced-ordered-BDD
-	// diagram for boolean-dominated path conditions (see solver/bdd.go).
-	MSolverBDDNodes     = "solver.bdd.nodes"      // counter: unique diagram nodes created
-	MSolverBDDApplyHits = "solver.bdd.apply_hits" // counter: ite memo-cache hits
-	MSolverBDDFallbacks = "solver.bdd.fallbacks"  // counter: queries handed to the CDCL bit-blasting fallback
-	MSolverBDDRebuilds  = "solver.bdd.rebuilds"   // counter: diagrams discarded (node cap or step overrun)
-	MSolverBDDReorders  = "solver.bdd.reorders"   // counter: diagram rebuilds forced by variable-order insertions
-
 	// Persistent counterexample cache (the -cachefile store).
 	MSolverPersistLoaded      = "solver.persist.loaded"       // gauge: entries loaded at startup
 	MSolverPersistAppended    = "solver.persist.appended"     // counter: entries appended this run
@@ -115,7 +107,7 @@ const (
 	// queued(gauge) + running(gauge) — no job is ever silently lost.
 	MServeJobsSubmitted = "serve.jobs.submitted" // counter: accepted submissions
 	MServeJobsRejected  = "serve.jobs.rejected"  // counter: 429/503 rejections (never counted as submitted)
-	MServeJobsInvalid   = "serve.jobs.invalid"   // counter: 400 malformed specs (never counted as submitted)
+	MServeJobsInvalid   = "serve.jobs.invalid"   // counter: 400 malformed specs and 413 oversized bodies (never counted as submitted)
 	MServeJobsSucceeded = "serve.jobs.succeeded" // counter: jobs that ran to completion
 	MServeJobsDegraded  = "serve.jobs.degraded"  // counter: terminal but degraded (stalled session)
 	MServeJobsCancelled = "serve.jobs.cancelled" // counter: cancelled via DELETE or drain timeout

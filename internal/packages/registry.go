@@ -198,15 +198,9 @@ func All() []*Package {
 	}
 }
 
-// ByName returns a registered package, searching the Table 3 set and the
-// bench-only targets (see Benchmarks).
+// ByName returns a registered package.
 func ByName(name string) (*Package, bool) {
 	for _, p := range All() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	for _, p := range Benchmarks() {
 		if p.Name == name {
 			return p, true
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,15 +73,25 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes caps the body of POST /v1/jobs. A spec is a few hundred
+// bytes, or a few KiB with an inline source; a larger body is refused
+// before it is decoded.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit accepts a job. The tenant is the X-API-Key header ("" is the
-// anonymous tenant). Responses: 202 accepted, 400 invalid spec, 429 queue
-// full, 503 draining (both with Retry-After).
+// anonymous tenant). Responses: 202 accepted, 400 invalid spec, 413 body
+// over maxSubmitBytes, 429 queue full, 503 draining (both with Retry-After).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		s.mInvalid.Inc()
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job spec larger than %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

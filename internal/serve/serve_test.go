@@ -459,6 +459,7 @@ func TestInvalidSubmissions(t *testing.T) {
 		"both targets":    JobSpec{Package: "simplejson", Language: "python", Source: "x"},
 		"bad input kind": JobSpec{Language: "python", Source: "def f(x):\n    return x\n", Entry: "f",
 			Inputs: []InputSpec{{Name: "x", Kind: "float"}}},
+		"removed solvermode": map[string]string{"package": "simplejson", "solvermode": "bdd"},
 	} {
 		resp, data := s.do(t, "POST", "/v1/jobs", "", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -473,6 +474,15 @@ func TestInvalidSubmissions(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+	huge := JobSpec{Language: "python", Source: strings.Repeat("#", maxSubmitBytes), Entry: "f"}
+	resp, data := s.do(t, "POST", "/v1/jobs", "", huge)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, data)
+	}
+	// Six table cases, the malformed body and the oversized one.
+	if got, want := s.srv.Registry().Counter(obs.MServeJobsInvalid).Value(), int64(8); got != want {
+		t.Fatalf("serve.jobs.invalid = %d, want %d", got, want)
 	}
 	if got := s.srv.Registry().Counter(obs.MServeJobsSubmitted).Value(); got != 0 {
 		t.Fatalf("invalid submissions entered the ledger: submitted = %d", got)

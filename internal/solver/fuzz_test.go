@@ -79,7 +79,7 @@ func fuzzBool(d *byteDriver, depth int) *sx.Expr {
 }
 
 // FuzzSolverCheck feeds byte-derived path conditions through the solver in
-// every cache mode on all three backends (oneshot, incremental, bdd) and
+// every cache mode on both backends (oneshot and incremental) and
 // cross-checks: all configurations must return the same verdict as the
 // cache-disabled control and the brute-force oracle, every Sat model must
 // satisfy the query, and a repeated check (served from the cache, or for the
@@ -120,9 +120,6 @@ func FuzzSolverCheck(f *testing.F) {
 			"inc/nocache": New(Options{DisableCache: true, SolverMode: ModeIncremental}),
 			"inc/exact":   New(Options{Mode: CacheExact, SolverMode: ModeIncremental}),
 			"inc/subsume": New(Options{Mode: CacheSubsume, SolverMode: ModeIncremental}),
-			"bdd/nocache": New(Options{DisableCache: true, SolverMode: ModeBDD}),
-			"bdd/exact":   New(Options{Mode: CacheExact, SolverMode: ModeBDD}),
-			"bdd/subsume": New(Options{Mode: CacheSubsume, SolverMode: ModeBDD}),
 		}
 		for name, s := range solvers {
 			for round := 0; round < 2; round++ { // round 2 exercises cache hits

@@ -153,7 +153,7 @@ func TestSolverMatchesOracle(t *testing.T) {
 	queries := genOracleQueries(t, n, 424242)
 
 	modes := []CacheMode{CacheExact, CacheSubsume}
-	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental, ModeBDD} {
+	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
 		qs := queries
 		if sm == ModeIncremental {
 			// The random stream shares no prefixes, so every query pops the
@@ -244,7 +244,7 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		return outs, s.Stats()
 	}
 
-	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental, ModeBDD} {
+	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
 		qs := queries
 		if sm == ModeIncremental {
 			// Same wall-time consideration as TestSolverMatchesOracle: the
