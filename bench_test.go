@@ -267,31 +267,6 @@ func BenchmarkParallelGrid(b *testing.B) {
 	})
 }
 
-// BenchmarkSharedSolverCache measures cross-session counterexample-cache
-// reuse: the same grid slice with private per-session caches versus one
-// shared sharded cache, reporting the shared cache's hit rate.
-func BenchmarkSharedSolverCache(b *testing.B) {
-	b.Run("private", func(b *testing.B) {
-		bud := parallelGridBudgets(0)
-		for i := 0; i < b.N; i++ {
-			runParallelGridSlice(bud)
-		}
-	})
-	b.Run("shared", func(b *testing.B) {
-		bud := parallelGridBudgets(0)
-		var hitRate float64
-		for i := 0; i < b.N; i++ {
-			bud.Cache = solver.NewQueryCache(0)
-			runParallelGridSlice(bud)
-			cs := bud.Cache.Stats()
-			if cs.Queries > 0 {
-				hitRate = float64(cs.Hits) / float64(cs.Queries)
-			}
-		}
-		b.ReportMetric(100*hitRate, "shared-hit-%")
-	})
-}
-
 // --- Ablation benches (DESIGN.md) -------------------------------------------
 
 // BenchmarkAblationCUPALevels compares the 2-level path-optimized CUPA
@@ -415,7 +390,7 @@ func BenchmarkSolverByteEquations(b *testing.B) {
 			v := symexpr.NewVar(symexpr.Var{Buf: "s", Idx: j, W: symexpr.W8})
 			cs = append(cs, symexpr.Eq(v, symexpr.Const(uint64('a'+j%26), symexpr.W8)))
 		}
-		if res, _ := s.Check(cs, nil); res != solver.Sat {
+		if res, _ := s.CheckQuery(solver.Query{PC: cs}); res != solver.Sat {
 			b.Fatal("unexpected unsat")
 		}
 	}
@@ -433,7 +408,7 @@ func BenchmarkSolverHashInversion(b *testing.B) {
 		}
 		target := symexpr.And(h, symexpr.Const(7, symexpr.W64))
 		cs := []*symexpr.Expr{symexpr.Eq(target, symexpr.Const(uint64(i%8), symexpr.W64))}
-		s.Check(cs, nil)
+		s.CheckQuery(solver.Query{PC: cs})
 	}
 }
 
@@ -619,28 +594,27 @@ func benchQueries() [][]*symexpr.Expr {
 	return out
 }
 
-// BenchmarkCheckCached measures one solver query in every cache regime:
-// nocache re-solves each time (the price of a miss), exact and subsume serve
-// repeats from their respective cache layers (the price of a hit). The
-// hit/miss ratio here is what the counterexample cache buys the engine on
-// every branch of an exploration.
+// BenchmarkCheckCached measures one solver query with and without the cache:
+// nocache re-solves each time (the price of a miss), exact serves repeats
+// from the exact-match cache (the price of a hit). The hit/miss ratio here
+// is what the counterexample cache buys the engine on every branch of an
+// exploration.
 func BenchmarkCheckCached(b *testing.B) {
 	queries := benchQueries()
 	run := func(b *testing.B, opts solver.Options) {
 		s := solver.New(opts)
-		for _, q := range queries { // warm every layer
-			s.Check(q, nil)
+		for _, q := range queries { // warm the cache
+			s.CheckQuery(solver.Query{PC: q})
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res, _ := s.Check(queries[i%len(queries)], nil); res != solver.Sat {
+			if res, _ := s.CheckQuery(solver.Query{PC: queries[i%len(queries)]}); res != solver.Sat {
 				b.Fatalf("unexpected verdict %v", res)
 			}
 		}
 	}
 	b.Run("nocache", func(b *testing.B) { run(b, solver.Options{DisableCache: true}) })
-	b.Run("exact", func(b *testing.B) { run(b, solver.Options{Mode: solver.CacheExact}) })
-	b.Run("subsume", func(b *testing.B) { run(b, solver.Options{Mode: solver.CacheSubsume}) })
+	b.Run("exact", func(b *testing.B) { run(b, solver.Options{}) })
 }
 
 // BenchmarkInterning measures hash-consed construction of a fixed expression

@@ -140,7 +140,7 @@ func run() int {
 
 	base := experiments.Budgets{
 		Time: *budget, StepLimit: *stepCap, Reps: *reps, Seed: *seed,
-		CacheMode: solver.CacheExact, Spans: true,
+		Spans: true,
 	}
 	for _, name := range pkgNames {
 		p, ok := packages.ByName(name)

@@ -9,7 +9,6 @@ import (
 	"chef/internal/dedicated"
 	"chef/internal/minipy"
 	"chef/internal/packages"
-	"chef/internal/solver"
 	"chef/internal/symexpr"
 )
 
@@ -319,10 +318,9 @@ func Fig12(maxFrames int, b Budgets) []Fig12Point {
 		for li, lvl := range levels {
 			pt := packages.MacLearningFlatTest(n, macLen, lvl)
 			s := chef.NewSession(pt.Program(), chef.Options{
-				Strategy:      chef.StrategyCUPAPath,
-				Seed:          b.Seed,
-				StepLimit:     b.StepLimit,
-				SolverOptions: solver.Options{Cache: b.Cache},
+				Strategy:  chef.StrategyCUPAPath,
+				Seed:      b.Seed,
+				StepLimit: b.StepLimit,
 			})
 			tests := s.Run(b.Time)
 			paths := len(tests)

@@ -60,27 +60,10 @@ func TestGoldenFig8WarmPersist(t *testing.T) {
 	checkGolden(t, "fig8", warm)
 }
 
-// TestTable3SubsumeParallelDeterminism extends the schedule-independence
-// guarantee to the subsuming cache mode: the extra lookup layer reorders
-// nothing, so serial and 8-worker runs must render identical tables.
-func TestTable3SubsumeParallelDeterminism(t *testing.T) {
-	bud := func(workers int) Budgets {
-		b := quickParallelBudgets(workers)
-		b.CacheMode = solver.CacheSubsume
-		return b
-	}
-	serial := RenderTable3(Table3(bud(1)))
-	parallel := RenderTable3(Table3(bud(8)))
-	if serial != parallel {
-		t.Fatalf("Table 3 with subsume cache depends on scheduling:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestWarmParallelMatchesColdSerial crosses the two axes: a cold serial run
-// writes the store, then a warm 8-worker run in subsume mode must reproduce
-// the exact aggregates. This is the strongest reproducibility claim the
-// harness makes — scheduling, cache mode and store temperature all vary, the
-// numbers do not.
+// writes the store, then a warm 8-worker run must reproduce the exact
+// aggregates. This is the strongest reproducibility claim the harness makes —
+// scheduling and store temperature both vary, the numbers do not.
 func TestWarmParallelMatchesColdSerial(t *testing.T) {
 	p, _ := packages.ByName("simplejson")
 	cfg := FourConfigurations(true)[3]
@@ -93,7 +76,6 @@ func TestWarmParallelMatchesColdSerial(t *testing.T) {
 		}
 		ResetHarnessStats()
 		b := quickParallelBudgets(workers)
-		b.CacheMode = solver.CacheSubsume
 		b.Persist = store
 		ts, cs, last := RunRepeated(p, cfg, b)
 		hs := HarnessSnapshot()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -127,9 +128,20 @@ func TestPersistGiveUpSurfacesInMetrics(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}
+	// A scrape without an Accept header gets the Prometheus exposition.
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
+		t.Fatalf("/metrics Content-Type = %q, want %q", ct, obs.PromContentType)
+	}
 	text := string(body)
-	if !strings.Contains(text, obs.MSolverPersistLost) {
-		t.Fatalf("/metrics missing %s:\n%s", obs.MSolverPersistLost, text)
+	family := obs.PromName(obs.MSolverPersistLost) + "_total"
+	lost := int64(-1)
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, family+" "); ok {
+			lost, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if lost <= 0 {
+		t.Fatalf("/metrics: %s = %d, want > 0:\n%s", family, lost, text)
 	}
 	if reg.Counter(obs.MSolverPersistLost).Value() == 0 {
 		t.Fatal("mirrored solver.persist.lost = 0 after give-up")

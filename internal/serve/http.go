@@ -237,23 +237,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders the server-total registry, first mirroring the
 // persistent store's live traffic counters into it. The format is
 // content-negotiated on the Accept header: application/json returns the
-// structured snapshot, text/plain (what Prometheus sends) returns the
-// exposition format with per-tenant and per-outcome labels, and anything
-// else (a bare curl) keeps the original human-readable text dump.
+// structured snapshot, and anything else (what Prometheus sends, or a bare
+// curl) returns the exposition format with per-tenant and per-outcome
+// labels.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mirrorPersist()
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/json"):
+	if strings.Contains(r.Header.Get("Accept"), "application/json") {
 		writeJSON(w, http.StatusOK, s.opts.Metrics.Snapshot())
-	case strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics"):
-		w.Header().Set("Content-Type", obs.PromContentType)
-		s.opts.Metrics.WriteProm(w)
-		s.writePromExtras(w)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.opts.Metrics.WriteText(w)
+		return
 	}
+	w.Header().Set("Content-Type", obs.PromContentType)
+	s.opts.Metrics.WriteProm(w)
+	s.writePromExtras(w)
 }
 
 // writePromExtras appends the labeled serve-level families the flat registry

@@ -228,20 +228,17 @@ func TestSecondJobObservesPersistWarmHits(t *testing.T) {
 	}
 }
 
-// N concurrent jobs against one store + shared cache under -race: every job
-// succeeds, later jobs can observe warm hits, and the store file stays
-// loadable afterwards.
+// N concurrent jobs against one store under -race: every job succeeds, jobs
+// observe warm hits, and the store file stays loadable afterwards.
 func TestConcurrentJobsSharedWarmState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cxc.bin")
 	store, err := solver.OpenPersistentStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A warm-up job on a first server populates the store. It runs on its
-	// own server so the second server's shared in-memory cache starts cold —
-	// otherwise every would-be persist hit is answered by the shared cache
-	// first (it sits in front of the persist layer) and the store's warmth
-	// would be unobservable.
+	// A warm-up job on a first server populates the store, so the concurrent
+	// jobs below find it warm: each job's view is fixed when it starts, and
+	// the first four start together.
 	warmSrv := newTestServer(t, Options{Workers: 1, Persist: store})
 	warm := warmSrv.submit(t, "", quickSpec(3))
 	if st := warmSrv.poll(t, warm); st.State != StateSucceeded {
@@ -253,7 +250,7 @@ func TestConcurrentJobsSharedWarmState(t *testing.T) {
 		t.Fatalf("drain warm-up server: %v", err)
 	}
 
-	s := newTestServer(t, Options{Workers: 4, SharedCache: true, Persist: store})
+	s := newTestServer(t, Options{Workers: 4, Persist: store})
 	const n = 8
 	ids := make([]string, n)
 	for i := range ids {
@@ -459,7 +456,9 @@ func TestInvalidSubmissions(t *testing.T) {
 		"both targets":    JobSpec{Package: "simplejson", Language: "python", Source: "x"},
 		"bad input kind": JobSpec{Language: "python", Source: "def f(x):\n    return x\n", Entry: "f",
 			Inputs: []InputSpec{{Name: "x", Kind: "float"}}},
-		"removed solvermode": map[string]string{"package": "simplejson", "solvermode": "bdd"},
+		"removed solvermode":      map[string]string{"package": "simplejson", "solvermode": "bdd"},
+		"removed cachemode":       map[string]string{"package": "simplejson", "cachemode": "subsume"},
+		"removed cachemode exact": map[string]string{"package": "simplejson", "cachemode": "exact"},
 	} {
 		resp, data := s.do(t, "POST", "/v1/jobs", "", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -480,8 +479,8 @@ func TestInvalidSubmissions(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, data)
 	}
-	// Six table cases, the malformed body and the oversized one.
-	if got, want := s.srv.Registry().Counter(obs.MServeJobsInvalid).Value(), int64(8); got != want {
+	// Eight table cases, the malformed body and the oversized one.
+	if got, want := s.srv.Registry().Counter(obs.MServeJobsInvalid).Value(), int64(10); got != want {
 		t.Fatalf("serve.jobs.invalid = %d, want %d", got, want)
 	}
 	if got := s.srv.Registry().Counter(obs.MServeJobsSubmitted).Value(); got != 0 {

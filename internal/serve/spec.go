@@ -89,7 +89,6 @@ type JobSpec struct {
 	StepLimit  int64  `json:"steplimit,omitempty"` // per-run hang threshold
 	Seed       int64  `json:"seed,omitempty"`
 	Vanilla    bool   `json:"vanilla,omitempty"`    // unoptimized interpreter build
-	CacheMode  string `json:"cachemode,omitempty"`  // exact | subsume
 	SolverMode string `json:"solvermode,omitempty"` // oneshot | incremental
 
 	// Shards selects sharded exploration (chef.ShardedSession): the job's
@@ -115,9 +114,6 @@ func (s *JobSpec) normalize() {
 	}
 	if s.Seed == 0 {
 		s.Seed = DefaultSeed
-	}
-	if s.CacheMode == "" {
-		s.CacheMode = "exact"
 	}
 	if s.SolverMode == "" {
 		s.SolverMode = "oneshot"
@@ -156,9 +152,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if _, ok := ParseStrategy(s.Strategy); !ok {
 		return fmt.Errorf("unknown strategy %q", s.Strategy)
-	}
-	if _, ok := solver.ParseCacheMode(s.CacheMode); !ok {
-		return fmt.Errorf("unknown cachemode %q (want exact or subsume)", s.CacheMode)
 	}
 	if _, ok := solver.ParseSolverMode(s.SolverMode); !ok {
 		return fmt.Errorf("unknown solvermode %q (want oneshot or incremental)", s.SolverMode)

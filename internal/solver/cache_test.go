@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"chef/internal/symexpr"
@@ -21,11 +20,13 @@ func stressModel(i int) symexpr.Assignment {
 	}
 }
 
-// TestQueryCacheConcurrentStress hammers one shared cache from many
-// goroutines with overlapping Lookup/Store traffic. Run under -race this
-// validates the sharded locking; afterwards the counters must balance
-// exactly: every Lookup is either a hit or a miss, and entries never exceed
-// the configured capacity.
+// TestQueryCacheConcurrentStress replays the interleaved Lookup/Store
+// traffic of 16 logical clients over an overlapping query space through one
+// cache (the cache has a single owner, so the clients take turns). Every
+// hit must return the stored model, and afterwards the counters must
+// balance exactly: every Lookup is either a hit or a miss, entries never
+// exceed the number of distinct queries, and entries equal stores minus
+// evictions.
 func TestQueryCacheConcurrentStress(t *testing.T) {
 	const (
 		workers = 16
@@ -33,39 +34,29 @@ func TestQueryCacheConcurrentStress(t *testing.T) {
 		space   = 150 // distinct queries, overlapping across workers
 	)
 	c := NewQueryCache(0)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				i := (w + r) % space
-				q := stressQuery(i)
-				key := canonKey(q)
-				if res, m, ok := c.Lookup(key, q); ok {
-					if res != Sat {
-						t.Errorf("query %d: cached result %v, want Sat", i, res)
-						return
-					}
-					want := stressModel(i)
-					if len(m) != len(want) {
-						t.Errorf("query %d: cached model %v, want %v", i, m, want)
-						return
-					}
-					for k, v := range want {
-						if m[k] != v {
-							t.Errorf("query %d: cached model %v, want %v", i, m, want)
-							return
-						}
-					}
-				} else {
-					c.Miss()
-					c.Store(key, q, Sat, stressModel(i))
+	for r := 0; r < rounds; r++ {
+		for w := 0; w < workers; w++ {
+			i := (w + r) % space
+			q := stressQuery(i)
+			key := canonKey(q)
+			if res, m, ok := c.Lookup(key, q); ok {
+				if res != Sat {
+					t.Fatalf("query %d: cached result %v, want Sat", i, res)
 				}
+				want := stressModel(i)
+				if len(m) != len(want) {
+					t.Fatalf("query %d: cached model %v, want %v", i, m, want)
+				}
+				for k, v := range want {
+					if m[k] != v {
+						t.Fatalf("query %d: cached model %v, want %v", i, m, want)
+					}
+				}
+			} else {
+				c.Store(key, q, Sat, stressModel(i))
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
 
 	s := c.Stats()
 	if s.Queries != int64(workers*rounds) {
@@ -77,8 +68,7 @@ func TestQueryCacheConcurrentStress(t *testing.T) {
 	if s.Hits == 0 {
 		t.Fatal("no hits despite overlapping query space")
 	}
-	// Distinct queries bound entries; double-insert suppression keeps one
-	// entry per distinct query even when two goroutines race the same miss.
+	// Stores follow misses only, so each distinct query holds one entry.
 	if s.Entries > int64(space) {
 		t.Fatalf("entries = %d, want <= %d distinct queries", s.Entries, space)
 	}
@@ -150,7 +140,7 @@ func TestSolverCacheAccounting(t *testing.T) {
 	v := symexpr.NewVar(symexpr.Var{Buf: "x", W: symexpr.W32})
 	for i := 0; i < 8; i++ {
 		pc := []*symexpr.Expr{symexpr.Ult(v, symexpr.Const(uint64(10+i%2), symexpr.W32))}
-		if res, _ := s.Check(pc, nil); res != Sat {
+		if res, _ := s.CheckQuery(Query{PC: pc}); res != Sat {
 			t.Fatalf("query %d: %v, want Sat", i, res)
 		}
 	}

@@ -28,9 +28,8 @@ import (
 //     serves those). This is what makes a warm rerun reproduce a cold run
 //     byte-for-byte: the set of answerable persistent lookups is fixed before
 //     the run starts, so it cannot depend on scheduling.
-//   - The *write side* records only queries this run actually solved — never
-//     results derived by subsumption, which could disagree (different model,
-//     same key) with what a cold solve produces.
+//   - The *write side* records only queries this run actually solved; cache
+//     and persistent hits are never re-appended.
 //
 // Long-running multi-job processes (chef-serve) use View instead of the store
 // directly: a View snapshots the load-time entries plus everything published

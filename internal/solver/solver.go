@@ -32,37 +32,6 @@ func (r Result) String() string {
 	}
 }
 
-// CacheMode selects which lookup layers of the counterexample cache a solver
-// consults. Indexing for subsumption happens on every Store regardless of
-// mode, so a shared QueryCache can serve solvers in either mode.
-type CacheMode uint8
-
-// Cache modes. CacheExact answers only pointer-identical canonical queries;
-// CacheSubsume additionally derives answers from cached subset/superset
-// queries (see subsume.go).
-const (
-	CacheExact CacheMode = iota
-	CacheSubsume
-)
-
-func (m CacheMode) String() string {
-	if m == CacheSubsume {
-		return "subsume"
-	}
-	return "exact"
-}
-
-// ParseCacheMode maps the -cachemode flag spellings to a CacheMode.
-func ParseCacheMode(s string) (CacheMode, bool) {
-	switch s {
-	case "exact", "":
-		return CacheExact, true
-	case "subsume":
-		return CacheSubsume, true
-	}
-	return CacheExact, false
-}
-
 // SolverMode selects the decision procedure behind the cache/persist front
 // end: the historical oneshot backend (fresh CNF per query) or the
 // assumption-scoped incremental backend (one live Context per solver, see
@@ -104,9 +73,9 @@ type Cost struct {
 }
 
 // Backend is the decision procedure behind the solver front end. The
-// constant filter, slicing, canonicalization and every cache layer (exact,
-// subsume, persistent) compose in front of it unchanged; a Backend only sees
-// the queries that miss all of them. The oneshot backend receives canonical
+// constant filter, slicing, canonicalization and both cache layers
+// (in-memory, persistent) compose in front of it unchanged; a Backend only
+// sees the queries that miss all of them. The oneshot backend receives canonical
 // constraint order; the incremental backend receives path order (root
 // first), which is what its prefix reuse keys off. A Backend is owned by one
 // Solver and shares its single-goroutine discipline.
@@ -121,10 +90,8 @@ type Backend interface {
 type Options struct {
 	// DisableSlicing turns off independent-constraint slicing.
 	DisableSlicing bool
-	// DisableCache turns off the query cache.
+	// DisableCache turns off the in-memory query cache.
 	DisableCache bool
-	// Mode selects the cache lookup layers (exact only, or exact+subsume).
-	Mode CacheMode
 	// SolverMode selects the decision procedure behind the cache layers:
 	// ModeOneshot (default; fresh CNF per query) or ModeIncremental
 	// (assumption-scoped Context with trail and learned-clause retention).
@@ -135,19 +102,14 @@ type Options struct {
 	SolverMode SolverMode
 	// PropBudget caps SAT propagations per query; 0 means the default cap.
 	PropBudget int64
-	// Cache, when non-nil, is used as the counterexample cache instead of a
-	// fresh private one, enabling cross-session (and cross-goroutine) hit
-	// reuse. See the QueryCache determinism note before sharing one between
-	// concurrent sessions.
-	Cache *QueryCache
 	// Persist, when non-nil, is the disk-backed layer of solved queries (see
 	// persist.go): a *PersistentStore for single-run CLI use, or a
 	// *PersistView for multi-job servers that share one warm store. It is
-	// consulted after the in-memory layers miss, and every freshly *solved*
-	// (never derived) result is appended to it. A persistent hit replays the
-	// recorded propagation cost into the solver's stats, so a warm rerun
-	// spends the same virtual time a cold run would — the store accelerates
-	// wall clock without perturbing deterministic output.
+	// consulted after the in-memory cache misses, and every freshly solved
+	// result is appended to it. A persistent hit replays the recorded
+	// propagation cost into the solver's stats, so a warm rerun spends the
+	// same virtual time a cold run would — the store accelerates wall clock
+	// without perturbing deterministic output.
 	//
 	// Callers must not assign a typed-nil pointer here (wrap the assignment
 	// in a nil check); the solver treats any non-nil interface as enabled.
@@ -199,11 +161,9 @@ type Stats struct {
 	Conflicts    int64
 	ClausesAdded int64
 
-	// Per-class decomposition of CacheHits.
-	CacheHitsExact        int64
-	CacheHitsSubsumeSat   int64
-	CacheHitsSubsumeUnsat int64
-	CacheHitsPersist      int64
+	// Per-layer decomposition of CacheHits.
+	CacheHitsExact   int64
+	CacheHitsPersist int64
 
 	// Incremental-backend counters (zero in oneshot mode).
 	IncContexts    int64 // contexts built (first query + rebuilds)
@@ -225,8 +185,6 @@ func (s *Stats) Add(o Stats) {
 	s.Conflicts += o.Conflicts
 	s.ClausesAdded += o.ClausesAdded
 	s.CacheHitsExact += o.CacheHitsExact
-	s.CacheHitsSubsumeSat += o.CacheHitsSubsumeSat
-	s.CacheHitsSubsumeUnsat += o.CacheHitsSubsumeUnsat
 	s.CacheHitsPersist += o.CacheHitsPersist
 	s.IncContexts += o.IncContexts
 	s.IncAssumptions += o.IncAssumptions
@@ -235,12 +193,12 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Solver decides conjunctions of width-1 bit-vector expressions.
-// A Solver is not safe for concurrent use; concurrency happens one solver per
-// session, optionally sharing a thread-safe QueryCache (Options.Cache).
+// A Solver, with the QueryCache it owns, is not safe for concurrent use;
+// concurrency happens one solver per session.
 type Solver struct {
 	opts    Options
 	stats   Stats
-	cache   *QueryCache // nil iff DisableCache and no shared cache given
+	cache   *QueryCache // nil iff DisableCache
 	backend Backend
 
 	// Observability (all nil when disabled).
@@ -254,8 +212,6 @@ type Solver struct {
 	mHits           *obs.Counter
 	mMisses         *obs.Counter
 	mHitsExact      *obs.Counter
-	mHitsSubS       *obs.Counter
-	mHitsSubU       *obs.Counter
 	mHitsPers       *obs.Counter
 	mIncContexts    *obs.Counter
 	mIncAssumptions *obs.Counter
@@ -278,10 +234,7 @@ func New(opts Options) *Solver {
 		opts.PropBudget = defaultPropBudget
 	}
 	s := &Solver{opts: opts}
-	switch {
-	case opts.Cache != nil:
-		s.cache = opts.Cache
-	case !opts.DisableCache:
+	if !opts.DisableCache {
 		s.cache = NewQueryCache(0)
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -292,8 +245,6 @@ func New(opts Options) *Solver {
 		s.mHits = reg.Counter(obs.MSolverCacheHits)
 		s.mMisses = reg.Counter(obs.MSolverCacheMisses)
 		s.mHitsExact = reg.Counter(obs.MSolverCacheHitsExact)
-		s.mHitsSubS = reg.Counter(obs.MSolverCacheHitsSubsumeSat)
-		s.mHitsSubU = reg.Counter(obs.MSolverCacheHitsSubsumeUnsat)
 		s.mHitsPers = reg.Counter(obs.MSolverCacheHitsPersist)
 		if opts.SolverMode == ModeIncremental {
 			s.mIncContexts = reg.Counter(obs.MSolverIncContexts)
@@ -357,8 +308,8 @@ func (s *Solver) Attach(in Instruments) {
 // with Stats.Add.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// Cache returns the solver's counterexample cache (nil when caching is
-// disabled). It may be a cache shared with other solvers.
+// Cache returns the solver's private counterexample cache (nil when caching
+// is disabled).
 func (s *Solver) Cache() *QueryCache { return s.cache }
 
 // Query is one satisfiability question over a path condition.
@@ -379,14 +330,6 @@ type Query struct {
 	PathSig uint64
 }
 
-// Check decides whether the conjunction pc is satisfiable.
-//
-// Deprecated: Check is the positional pre-Query entry point, kept as a thin
-// wrapper for one release. Use CheckQuery.
-func (s *Solver) Check(pc []*symexpr.Expr, base symexpr.Assignment) (Result, symexpr.Assignment) {
-	return s.CheckQuery(Query{PC: pc, Base: base})
-}
-
 // CheckQuery decides whether the conjunction q.PC is satisfiable. On Sat the
 // returned assignment covers every variable in q.PC (in oneshot mode, values
 // from q.Base are reused where valid).
@@ -398,13 +341,13 @@ func (s *Solver) Check(pc []*symexpr.Expr, base symexpr.Assignment) (Result, sym
 // returns.
 func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 	if !s.observing {
-		return s.check(q)
+		return s.decide(q)
 	}
 	propsBefore := s.stats.Propagations
 	before := s.stats
 	sp := s.spans.Start(obs.SpanSolverCheck)
 	start := time.Now()
-	res, model := s.check(q)
+	res, model := s.decide(q)
 	virt := s.stats.Propagations - propsBefore
 	sp.End(virt)
 	wall := time.Since(start).Nanoseconds()
@@ -424,10 +367,6 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 			switch {
 			case s.stats.CacheHitsExact > before.CacheHitsExact:
 				s.mHitsExact.Inc()
-			case s.stats.CacheHitsSubsumeSat > before.CacheHitsSubsumeSat:
-				s.mHitsSubS.Inc()
-			case s.stats.CacheHitsSubsumeUnsat > before.CacheHitsSubsumeUnsat:
-				s.mHitsSubU.Inc()
 			case s.stats.CacheHitsPersist > before.CacheHitsPersist:
 				s.mHitsPers.Inc()
 			}
@@ -456,8 +395,8 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 	return res, model
 }
 
-// check is the uninstrumented core of CheckQuery.
-func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
+// decide is the uninstrumented core of CheckQuery.
+func (s *Solver) decide(q Query) (Result, symexpr.Assignment) {
 	s.stats.Queries++
 	incremental := s.opts.SolverMode == ModeIncremental
 	// Constant-filter: drop constraints that are literally true; a literally
@@ -497,11 +436,11 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	// Canonicalize: sort by the process-independent structural order and
 	// dedup. The oneshot backend sees the canonical sequence, so its result
 	// *and model* are a pure function of the constraint set — the property
-	// every cache layer (exact, subsume, persistent) relies on. The
-	// incremental backend instead keeps path order (its prefix reuse depends
-	// on it) and canonicalizes a copy for the cache keys only; its models
-	// are a function of the solver's whole query stream, which per-cell
-	// solver ownership keeps deterministic.
+	// both cache layers (in-memory, persistent) rely on. The incremental
+	// backend instead keeps path order (its prefix reuse depends on it) and
+	// canonicalizes a copy for the cache keys only; its models are a
+	// function of the solver's whole query stream, which per-cell solver
+	// ownership keeps deterministic.
 	backendInput := toSolve
 	var canon []*symexpr.Expr
 	if incremental {
@@ -526,26 +465,6 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			}
 			return r, nil
 		}
-		if s.opts.Mode == CacheSubsume {
-			if r, m, class := s.cache.LookupSubsume(canon); class != HitNone {
-				csp.End(0)
-				s.stats.CacheHits++
-				if class == HitSubsumeSat {
-					s.stats.CacheHitsSubsumeSat++
-				} else {
-					s.stats.CacheHitsSubsumeUnsat++
-				}
-				// Promote the derived result to the exact layer so later
-				// identical queries take the cheap path. Derived results are
-				// never persisted (see below), only re-memoized in memory.
-				s.cache.Store(key, canon, r, m)
-				if r == Sat {
-					return Sat, merge(m, kept) // m is freshly allocated
-				}
-				return r, nil
-			}
-		}
-		s.cache.Miss()
 		csp.End(0)
 	}
 
@@ -598,10 +517,6 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			s.cache.Store(key, canon, res, model)
 		}
 		if s.opts.Persist != nil {
-			// Only actually-solved results enter the persistent store: a
-			// subsume-derived entry could answer differently from the solve a
-			// cold run performs (different model for the same key), breaking
-			// warm/cold equivalence.
 			s.opts.Persist.Append(key, canon, res, model, cost.Propagations)
 		}
 	}
@@ -620,7 +535,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 
 // canonicalize sorts the constraint slice by symexpr.Compare — a structural,
 // process-independent total order — and drops duplicates (pointer-equal after
-// interning). The slice is modified in place; check always passes a freshly
+// interning). The slice is modified in place; decide always passes a freshly
 // allocated slice.
 func canonicalize(cs []*symexpr.Expr) []*symexpr.Expr {
 	sort.Slice(cs, func(i, j int) bool { return symexpr.Compare(cs[i], cs[j]) < 0 })

@@ -110,8 +110,8 @@ func (v Var) String() string { return fmt.Sprintf("%s[%d]:%d", v.Buf, v.Idx, v.W
 // Expr is a node in the expression DAG. Expr values are immutable after
 // construction and hash-consed: every constructor routes through the
 // per-process interner (see intern.go), so structurally equal expressions
-// are pointer-identical, Equal is O(1), and the precomputed per-node hash
-// and interning ID serve as cheap cache keys.
+// are pointer-identical, Equal is O(1), and the pointer and the
+// precomputed per-node hash serve as cheap cache keys.
 type Expr struct {
 	op   Op
 	w    Width
@@ -119,9 +119,8 @@ type Expr struct {
 	varr *Var   // variable (non-nil iff this is a leaf variable)
 	kids []*Expr
 	hash uint64
-	id   uint64 // process-unique interning ID (see Expr.ID)
-	size int32  // number of nodes in the DAG view (upper bound; shared nodes recounted)
-	syms bool   // contains at least one variable
+	size int32 // number of nodes in the DAG view (upper bound; shared nodes recounted)
+	syms bool  // contains at least one variable
 }
 
 // Width returns the bit width of the expression.

@@ -10,10 +10,9 @@ import (
 // Every Expr constructed by this package is routed through a per-process
 // interner, so structurally equal expressions are pointer-identical:
 //
-//   - Equal degrades to a pointer comparison (O(1), no DAG walks);
-//   - every node carries a process-unique ID usable as a map key by caches
-//     and indexes (the solver's counterexample cache keys its subsumption
-//     index by it);
+//   - Equal degrades to a pointer comparison (O(1), no DAG walks), and the
+//     pointer itself is a process-local identity key for caches (the
+//     solver's counterexample cache confirms entries by pointer equality);
 //   - maximal sharing: an interpreter loop that rebuilds the same term on
 //     every iteration allocates it once.
 //
@@ -30,12 +29,10 @@ import (
 // would hold the table for its lifetime, which is the usual hash-consing
 // trade.
 //
-// Determinism note: IDs are assigned in intern order, which under the
-// parallel harness depends on scheduling. IDs therefore never influence
-// anything semantically visible — canonical orderings that affect solver
-// results use Compare (process-independent structural order), never ID
-// order. IDs are only used for process-local map keys where the *identity*
-// matters but the *order* does not.
+// Determinism note: intern order (and hence pointer values) depends on
+// scheduling under the parallel harness, so canonical orderings that affect
+// solver results use Compare (process-independent structural order), never
+// pointer order.
 
 const internShardCount = 64
 
@@ -46,7 +43,6 @@ type internShard struct {
 
 var (
 	internShards [internShardCount]internShard
-	internNextID atomic.Uint64
 	internSize   atomic.Int64
 )
 
@@ -91,7 +87,6 @@ func intern(e *Expr) *Expr {
 			return c
 		}
 	}
-	e.id = internNextID.Add(1)
 	sh.m[e.hash] = append(sh.m[e.hash], e)
 	sh.mu.Unlock()
 	internSize.Add(1)
@@ -102,18 +97,10 @@ func intern(e *Expr) *Expr {
 // in this process (observability only).
 func InternedCount() int64 { return internSize.Load() }
 
-// ID returns the process-unique interning ID of the expression. IDs identify
-// structurally distinct expressions within one process: x.ID() == y.ID() iff
-// x == y (pointer equality) iff x and y are structurally equal. IDs are
-// assigned in intern order and are not stable across processes — persistent
-// caches key by structural content (see Compare and the encode/decode
-// layer), never by ID.
-func (e *Expr) ID() uint64 { return e.id }
-
 // Compare defines a process-independent total order on expressions:
 // Compare(a, b) is negative/zero/positive as a sorts before/equals/sorts
-// after b, and depends only on expression *structure* (never on interning
-// IDs or pointer values), so any two processes agree on it. The solver
+// after b, and depends only on expression *structure* (never on pointer
+// values), so any two processes agree on it. The solver
 // canonicalizes queries with it before solving, making the solver's answer
 // — including the model — a pure function of the constraint set.
 //
